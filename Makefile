@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build vet staticcheck test race stress crash bench bench-diff gobench docs-check check
+.PHONY: build vet staticcheck test race stress crash fuzz-short bench bench-diff gobench docs-check check
 
 build:
 	$(GO) build ./...
@@ -42,6 +42,13 @@ stress:
 crash:
 	$(GO) test -run 'TestCrash|TestTorn|TestRecovery|TestBulkLoadCrashPrefix|TestPlanCacheInvalidationAcrossRecovery|TestDurable' ./internal/wal .
 
+# fuzz-short runs the key-encoding fuzz target for a few seconds beyond its
+# seed corpus (internal/types/testdata/fuzz): AppendKey bytes must be equal
+# exactly when the values are Equal, the contract every hash join, hash
+# aggregate and index relies on.
+fuzz-short:
+	$(GO) test -run '^$$' -fuzz=FuzzAppendKey -fuzztime=10s ./internal/types
+
 # bench emits a machine-readable benchmark snapshot: the paper's example
 # queries per optimizer mode, estimated cost next to measured cold page IO.
 # Committing the dated file makes plan-quality regressions show up as diffs.
@@ -57,9 +64,10 @@ bench-diff:
 	@test -n "$(OLD)" -a -n "$(NEW)" || { echo "need two BENCH_*.json files (or pass OLD=... NEW=...)"; exit 2; }
 	$(GO) run ./cmd/benchdiff $(OLD) $(NEW)
 
-# gobench runs the Go micro/macro benchmarks.
+# gobench runs the Go micro/macro benchmarks only (-run '^$$' skips the
+# tests), e.g. BenchmarkBlockNLJoin for the join probe layer.
 gobench:
-	$(GO) test -bench=. -benchmem ./...
+	$(GO) test -run '^$$' -bench=. -benchmem ./...
 
 # docs-check keeps the documentation honest without adding dependencies:
 # every relative Markdown link and every backticked internal/cmd/examples
@@ -71,6 +79,7 @@ docs-check:
 
 # check is the tier-1 gate: static analysis plus the full test suite
 # (including the chaos fault sweeps) under the race detector, then the
-# doubled concurrency stress pass, the full-resolution crash sweep, and
-# the documentation link/reference check.
-check: vet staticcheck race stress crash docs-check
+# doubled concurrency stress pass, the full-resolution crash sweep, a
+# short run of the key-encoding fuzz target, and the documentation
+# link/reference check.
+check: vet staticcheck race stress crash fuzz-short docs-check

@@ -62,6 +62,21 @@
 //   - otherwise keep a row-wise step() and delegate batching to
 //     fillFromStep, feeding inputs through rowIter or drainBatches.
 //
+// # Joins
+//
+// Hash, block nested-loops and index nested-loops joins match equi-join
+// keys by their types.AppendKey encoding, which is byte-equal exactly when
+// the keys are types.Equal; merge join compares keys with types.Compare.
+// A NULL key matches nothing. Block nested loops fills an outer block up
+// to the memory budget and rescans the inner once per block, as the cost
+// model prices it. With equi conjuncts it hashes each block on its keys, and
+// each inner row probes that table, trying only its candidates in
+// ascending block order. The output order and page IO are those of
+// comparing every pair, and CPU work is linear in block plus inner rows,
+// as internal/cost assumes. Joins with no equi conjunct try every pair.
+// LEFT and FULL joins pad unmatched rows after each block (and FULL after
+// a final inner rescan), whatever the probe.
+//
 // # Governance and metering at batch boundaries
 //
 // The Cursor ticks the governor once per batch (govern.TickRows), not once

@@ -20,7 +20,7 @@ type env struct {
 	dept  *catalog.Table
 }
 
-func newEnv(t *testing.T, poolPages, nEmp, nDept int) *env {
+func newEnv(t testing.TB, poolPages, nEmp, nDept int) *env {
 	t.Helper()
 	st := storage.NewStore(poolPages)
 	c := catalog.New(st)

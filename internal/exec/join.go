@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 
 	"aggview/internal/expr"
 	"aggview/internal/lplan"
@@ -488,6 +489,16 @@ func (it *hashJoinIter) Close() error {
 // charges the repeated reads); any other inner is materialized to a spill
 // file first.
 //
+// Equi-joins hash each block: after a block fills, a table maps the key
+// encoding (types.AppendKey, byte-equal iff the keys are Equal) to the
+// block rows holding it, chained in ascending block order. Each inner row
+// probes the table and tries only its candidates, so CPU work is linear in
+// block plus inner rows, as internal/cost charges it, not their product.
+// Blocks, inner rescans and output order are exactly those of comparing
+// every pair, so page IO is too. NULL-keyed rows are never indexed or
+// probed (NULL = x is UNKNOWN) but stay in the block for outer-join
+// padding. Joins without an equi conjunct try every pair.
+//
 // Outer joins: the block (left) side is the preserved side of a LEFT join —
 // after each block's inner rescan completes, unmatched block rows are
 // emitted right-padded. FULL joins additionally track per-inner-row match
@@ -510,8 +521,13 @@ type blockNLIter struct {
 	block   []types.Row
 	inIt    *rowIter
 	inRow   types.Row
-	pos     int
+	pos     int // next block row to try for inRow; len(block) when none
 	done    bool
+
+	// Equi-join block table, rebuilt per block and reused across blocks.
+	heads  map[string]int // key -> first block row holding it
+	chain  []int          // block row -> next block row with its key, or len(block)
+	keyBuf []byte
 
 	blockMatched []bool // LEFT/FULL: per-block-row match flags
 	padPos       int    // cursor over block rows while padding
@@ -587,6 +603,9 @@ func (it *blockNLIter) nextBlock() error {
 		it.done = true
 		return nil
 	}
+	if len(it.jc.lKeys) > 0 {
+		it.indexBlock()
+	}
 	in, err := it.inner()
 	if err != nil {
 		return err
@@ -601,12 +620,52 @@ func (it *blockNLIter) nextBlock() error {
 	}
 	it.inIt = inRows
 	it.inRow = nil
-	it.pos = 0
 	it.innerOrd = -1
 	if it.joinType.Outer() {
 		it.blockMatched = make([]bool, len(it.block))
 	}
 	return nil
+}
+
+// indexBlock builds the block's key table. Rows are linked from last to
+// first so every chain runs in ascending block order.
+func (it *blockNLIter) indexBlock() {
+	if it.heads == nil {
+		it.heads = make(map[string]int, len(it.block))
+	} else {
+		clear(it.heads)
+	}
+	n := len(it.block)
+	it.chain = slices.Grow(it.chain[:0], n)[:n]
+	for i := n - 1; i >= 0; i-- {
+		r := it.block[i]
+		if rowHasNullKey(r, it.jc.lKeys) {
+			continue
+		}
+		it.keyBuf = r.AppendKey(it.keyBuf[:0], it.jc.lKeys)
+		next, ok := it.heads[string(it.keyBuf)]
+		if !ok {
+			next = n
+		}
+		it.chain[i] = next
+		it.heads[string(it.keyBuf)] = i
+	}
+}
+
+// firstCandidate returns the first block row that may join inRow:
+// len(block) when none can.
+func (it *blockNLIter) firstCandidate() int {
+	if len(it.jc.lKeys) == 0 {
+		return 0
+	}
+	if rowHasNullKey(it.inRow, it.jc.rKeys) {
+		return len(it.block)
+	}
+	it.keyBuf = it.inRow.AppendKey(it.keyBuf[:0], it.jc.rKeys)
+	if i, ok := it.heads[string(it.keyBuf)]; ok {
+		return i
+	}
+	return len(it.block)
 }
 
 func (it *blockNLIter) NextBatch(dst *Batch) error {
@@ -659,21 +718,21 @@ func (it *blockNLIter) step() (types.Row, bool, error) {
 				continue
 			}
 			it.inRow = r
-			it.pos = 0
+			it.pos = it.firstCandidate()
 			it.innerOrd++
 			if it.joinType == lplan.JoinFull && it.innerOrd >= len(it.innerMatched) {
 				it.innerMatched = append(it.innerMatched, false)
 			}
 		}
 		for it.pos < len(it.block) {
-			l := it.block[it.pos]
 			i := it.pos
-			it.pos++
-			// Equi keys (if any) must match; residual must pass.
-			if !keysEqual(l, it.inRow, it.jc.lKeys, it.jc.rKeys) {
-				continue
+			if len(it.jc.lKeys) > 0 {
+				it.pos = it.chain[i]
+			} else {
+				it.pos++
 			}
-			out, ok, err := it.jc.emit(l, it.inRow)
+			// The keys match (i is inRow's candidate); the residual must pass.
+			out, ok, err := it.jc.emit(it.block[i], it.inRow)
 			if err != nil {
 				return nil, false, err
 			}
@@ -726,20 +785,6 @@ func (it *blockNLIter) stepFinalDrain() (types.Row, bool, error) {
 		}
 		return it.jc.emitPadded(nil, r), true, nil
 	}
-}
-
-func keysEqual(l, r types.Row, lKeys, rKeys []int) bool {
-	for i := range lKeys {
-		// NULL keys never join: NULL = x (and NULL = NULL) is UNKNOWN,
-		// even though types.Compare orders NULLs equal.
-		if l[lKeys[i]].IsNull() || r[rKeys[i]].IsNull() {
-			return false
-		}
-		if types.Compare(l[lKeys[i]], r[rKeys[i]]) != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 func (it *blockNLIter) Close() error {

@@ -143,9 +143,11 @@ func (v Value) DiskWidth() int {
 }
 
 // Compare orders two values. NULL sorts before everything; INT and FLOAT
-// compare numerically across kinds; otherwise values of different kinds
-// compare by kind tag (a total order, so sorting mixed columns is stable).
-// The result is -1, 0 or +1.
+// compare numerically across kinds, exactly (an INT never rounds to meet a
+// FLOAT), with -0.0 equal to 0.0 and NaN equal to itself and above every
+// other number; otherwise values of different kinds compare by kind tag (a
+// total order, so sorting mixed columns is stable). The result is -1, 0 or
+// +1.
 func Compare(a, b Value) int {
 	if a.K == KindNull || b.K == KindNull {
 		switch {
@@ -158,24 +160,15 @@ func Compare(a, b Value) int {
 		}
 	}
 	if a.K.Numeric() && b.K.Numeric() {
-		if a.K == KindInt && b.K == KindInt {
-			switch {
-			case a.I < b.I:
-				return -1
-			case a.I > b.I:
-				return 1
-			default:
-				return 0
-			}
-		}
-		af, bf := a.Float(), b.Float()
 		switch {
-		case af < bf:
-			return -1
-		case af > bf:
-			return 1
+		case a.K == KindInt && b.K == KindInt:
+			return cmpInt(a.I, b.I)
+		case a.K == KindInt:
+			return cmpIntFloat(a.I, b.F)
+		case b.K == KindInt:
+			return -cmpIntFloat(b.I, a.F)
 		default:
-			return 0
+			return cmpFloat(a.F, b.F)
 		}
 	}
 	if a.K != b.K {
@@ -195,47 +188,110 @@ func Compare(a, b Value) int {
 			return 0
 		}
 	case KindBool:
-		switch {
-		case a.I < b.I:
-			return -1
-		case a.I > b.I:
-			return 1
-		default:
-			return 0
-		}
+		return cmpInt(a.I, b.I)
 	default:
 		return 0
 	}
 }
 
+func cmpInt(a, b int64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	default:
+		return 0
+	}
+}
+
+// cmpFloat orders floats with NaN equal to itself and greater than every
+// other value, so FLOAT columns have a total order.
+func cmpFloat(a, b float64) int {
+	aNaN, bNaN := math.IsNaN(a), math.IsNaN(b)
+	switch {
+	case a < b || bNaN && !aNaN:
+		return -1
+	case a > b || aNaN && !bNaN:
+		return 1
+	default:
+		return 0
+	}
+}
+
+// cmpIntFloat compares i with f exactly: by the integer part of f first,
+// then by its fraction. Every float64 in [-2^63, 2^63) truncates to an
+// int64 without loss, and its fraction is exact too.
+func cmpIntFloat(i int64, f float64) int {
+	switch {
+	case math.IsNaN(f) || f >= 0x1p63:
+		return -1
+	case f < -0x1p63:
+		return 1
+	}
+	t := int64(f)
+	if c := cmpInt(i, t); c != 0 {
+		return c
+	}
+	return cmpFloat(float64(t), f)
+}
+
 // Equal reports whether two values compare equal under Compare semantics.
 func Equal(a, b Value) bool { return Compare(a, b) == 0 }
 
+// Key encoding tags. Every numeric key is one tag byte plus 8 payload
+// bytes: checkpoints persist index buckets under these keys.
+const (
+	keyNull   = 0x00
+	keyNum    = 0x01 // float64 bits of a FLOAT, or of an INT that converts exactly
+	keyString = 0x02
+	keyBool   = 0x03
+	keyWide   = 0x04 // int64 bits of an INT no float64 represents exactly
+)
+
+// canonNaN is the single bit pattern every NaN key encodes as.
+var canonNaN = math.Float64bits(math.NaN())
+
 // AppendKey appends a self-delimiting encoding of v to dst such that two
 // values are Equal iff their encodings are byte-equal. It is used for hash
-// table keys in joins and aggregation. Numeric values encode through float64
-// so that INT 2 and FLOAT 2.0 land in the same group, mirroring Compare.
+// table keys in joins, aggregation and indexes. Numbers encode canonically
+// so that the encoding mirrors Compare: INT 2 and FLOAT 2.0 share the
+// float64 bits of 2.0, an INT that float64 cannot hold exactly (beyond
+// ±2^53, e.g. 2^53+1) keeps its own int64 bits under a separate tag, -0.0
+// encodes as 0.0, and every NaN encodes as one pattern.
 func AppendKey(dst []byte, v Value) []byte {
 	switch v.K {
 	case KindNull:
-		return append(dst, 0x00)
-	case KindInt, KindFloat:
-		dst = append(dst, 0x01)
-		bits := math.Float64bits(v.Float())
-		return append(dst,
-			byte(bits>>56), byte(bits>>48), byte(bits>>40), byte(bits>>32),
-			byte(bits>>24), byte(bits>>16), byte(bits>>8), byte(bits))
+		return append(dst, keyNull)
+	case KindInt:
+		if f := float64(v.I); f < 0x1p63 && int64(f) == v.I {
+			return appendKey64(dst, keyNum, math.Float64bits(f))
+		}
+		return appendKey64(dst, keyWide, uint64(v.I))
+	case KindFloat:
+		switch {
+		case v.F == 0:
+			return appendKey64(dst, keyNum, 0)
+		case math.IsNaN(v.F):
+			return appendKey64(dst, keyNum, canonNaN)
+		}
+		return appendKey64(dst, keyNum, math.Float64bits(v.F))
 	case KindString:
-		dst = append(dst, 0x02)
+		dst = append(dst, keyString)
 		n := len(v.S)
 		dst = append(dst, byte(n>>24), byte(n>>16), byte(n>>8), byte(n))
 		return append(dst, v.S...)
 	case KindBool:
-		dst = append(dst, 0x03, byte(v.I))
-		return dst
+		return append(dst, keyBool, byte(v.I))
 	default:
 		return append(dst, 0xff)
 	}
+}
+
+func appendKey64(dst []byte, tag byte, bits uint64) []byte {
+	return append(dst, tag,
+		byte(bits>>56), byte(bits>>48), byte(bits>>40), byte(bits>>32),
+		byte(bits>>24), byte(bits>>16), byte(bits>>8), byte(bits))
 }
 
 // Row is a tuple of values.
